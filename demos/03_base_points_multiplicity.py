@@ -10,7 +10,6 @@ the Wagreich floor -Z_max^2 plus the sum of all t's.
 from plumblat import (
     ResolutionGraph,
     build_form,
-    canonical_cycle,
     classify,
     distinct_base_points_check,
     geometric_genus,
@@ -34,7 +33,7 @@ print("class:", cls.tag.value,
       "| minimal:", cls.is_minimal)
 print("p_g of the generic structure:", geometric_genus(f))
 
-zk = canonical_cycle(f)
+zk = f.canonical()
 zmin = laufer_zmin(f)
 print("Z_min in the function semigroup?", in_analytic_semigroup(f, zmin))
 print("K in the function semigroup?", in_analytic_semigroup(f, zk))

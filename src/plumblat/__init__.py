@@ -10,6 +10,7 @@ from .errors import (
     GraphParseError,
     GraphStructureError,
     HypothesisViolation,
+    InvariantViolation,
     NegativeInput,
     NoSuchEdge,
     NoSuchVertex,
@@ -23,17 +24,9 @@ from .errors import (
 from .graph import (
     Cycle,
     IntersectionForm,
-    RatCycle,
     ResolutionGraph,
     build_form,
-    canonical_cycle,
-    chi,
-    dual_cycle,
-    in_lipman_cone,
-    is_integral,
     is_minimal_resolution,
-    leq,
-    pairing,
 )
 from .minimize import (
     ChiMinResult,

@@ -22,7 +22,7 @@ yields the multiplicity of the generic structure:
 
 Rational graphs short-circuit to the classical base-point-free answer
 mult = -Z_min^2; in debug runs the depth-one scan is still executed there to
-assert it never fires at a vertex with negative pairing.
+check that it never fires at a vertex with negative pairing.
 """
 
 from __future__ import annotations
@@ -32,15 +32,16 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NotInSemigroup, NotStar
+from .errors import NotInSemigroup, NotStar, check_identity
 from .graph import Cycle, IntersectionForm
 from .invariants import (
+    GraphClass,
     SingularityClass,
+    _maximal_ideal_cycle,
     classify,
     in_analytic_semigroup,
-    maximal_ideal_cycle,
 )
-from .minimize import Constraint, laufer_zmin, min_chi, minimizer_join, minimizer_meet
+from .minimize import ChiMinResult, Constraint, min_chi, minimizer_join, minimizer_meet
 
 __all__ = [
     "StarCondition",
@@ -103,42 +104,57 @@ class DistinctnessReport:
 
 def star_condition(f: IntersectionForm, lp: Cycle, v: int) -> StarCondition:
     """Depth of the constrained minimum at v; star means depth exactly one."""
-    if not in_analytic_semigroup(f, lp):
-        raise NotInSemigroup(f"{lp} is not in the analytic semigroup")
-    res = min_chi(f, lp, Constraint.at_least(f.unit(v)))
-    depth = res.min_value - f.chi(lp)
+    _require_semigroup(f, lp)
+    depth, _ = _depth_search(f, lp, f.chi(lp), v)
     return StarCondition(v, depth, depth == 1)
 
 
-def _level_set_data(f: IntersectionForm, lp: Cycle, v: int):
-    """Join/meet of {l >= E_v : chi(lp+l) = chi(lp)+1}, both verified."""
+def _require_semigroup(f: IntersectionForm, lp: Cycle) -> None:
+    if not in_analytic_semigroup(f, lp):
+        raise NotInSemigroup(f"{lp} is not in the analytic semigroup")
+
+
+def _depth_search(f: IntersectionForm, lp: Cycle, chi_lp: Fraction,
+                  v: int) -> tuple[Fraction, ChiMinResult]:
+    """Depth at v and the search behind it, whose minimizers form the level set."""
     res = min_chi(f, lp, Constraint.at_least(f.unit(v)))
+    return res.min_value - chi_lp, res
+
+
+def _negative_pairings(f: IntersectionForm, lp: Cycle) -> list[tuple[int, Fraction]]:
+    return [(v, pv) for v in f.ids if (pv := f.pairing_vertex(lp, v)) < 0]
+
+
+def _starred_data(f: IntersectionForm, lp: Cycle, v: int, pv: Fraction,
+                  res: ChiMinResult) -> VertexBaseData:
+    """Base-point record at v from its depth-one search; lp is in the semigroup."""
+    # join/meet of the level set, both verified to lie in it
     join = minimizer_join(res)
     meet = minimizer_meet(res)
-    return res, join, meet
-
-
-def base_point_data(f: IntersectionForm, lp: Cycle, v: int) -> VertexBaseData:
-    """Full base-point record at a starred vertex with negative pairing."""
-    sc = star_condition(f, lp, v)
-    pv = f.pairing_vertex(lp, v)
-    assert pv.denominator == 1
-    pv = int(pv)
-    if not sc.star:
-        raise NotStar(f"depth at vertex {v} is {sc.depth}, not 1")
-    if pv >= 0:
-        raise NotStar(f"(lp, E_{v}) = {pv} is not negative")
-    _, join, meet = _level_set_data(f, lp, v)
     t = join.coeff(v)
-    assert t.denominator == 1 and t >= 1
+    check_identity(pv.denominator == 1 and t.denominator == 1 and t >= 1,
+                   f"vertex {v}: (lp, E_v) = {pv} and t = {t} must be integers, t >= 1")
+    pv = int(pv)
     m_v = lp.coeff(v)
     s_max = lp + join
     if not in_analytic_semigroup(f, s_max):
         raise NotInSemigroup(
             f"maximal level-set element {s_max} fails the semigroup test")
     return VertexBaseData(
-        vertex=v, pairing=pv, depth=sc.depth, star=True, count=-pv,
+        vertex=v, pairing=pv, depth=Fraction(1), star=True, count=-pv,
         m_v=m_v, m_v_plus=m_v + t, t=int(t), m_min=meet, s_max=s_max)
+
+
+def base_point_data(f: IntersectionForm, lp: Cycle, v: int) -> VertexBaseData:
+    """Full base-point record at a starred vertex with negative pairing."""
+    _require_semigroup(f, lp)
+    depth, res = _depth_search(f, lp, f.chi(lp), v)
+    pv = f.pairing_vertex(lp, v)
+    if depth != 1:
+        raise NotStar(f"depth at vertex {v} is {depth}, not 1")
+    if pv >= 0:
+        raise NotStar(f"(lp, E_{v}) = {pv} is not negative")
+    return _starred_data(f, lp, v, pv, res)
 
 
 def base_point_report(f: IntersectionForm, lp: Cycle) -> BasePointReport:
@@ -149,25 +165,29 @@ def base_point_report(f: IntersectionForm, lp: Cycle) -> BasePointReport:
     alone.
     """
     cls = classify(f)
-    zmax = maximal_ideal_cycle(f).cycle
+    return _report(f, cls, lp, _maximal_ideal_cycle(f, cls).cycle)
+
+
+def _report(f: IntersectionForm, cls: GraphClass, lp: Cycle, zmax: Cycle) -> BasePointReport:
     if cls.tag is SingularityClass.RATIONAL:
         return _rational_report(f, lp, zmax)
 
+    negative = _negative_pairings(f, lp)
+    if negative:
+        _require_semigroup(f, lp)
+    chi_lp = f.chi(lp)
     per = []
     total = 0
     correction = 0
-    for v in f.ids:
-        pv = f.pairing_vertex(lp, v)
-        if pv >= 0:
-            continue
-        sc = star_condition(f, lp, v)
-        if sc.star:
-            data = base_point_data(f, lp, v)
+    for v, pv in negative:
+        depth, res = _depth_search(f, lp, chi_lp, v)
+        if depth == 1:
+            data = _starred_data(f, lp, v, pv, res)
             total += data.count
             correction += data.t * data.count
         else:
             data = VertexBaseData(
-                vertex=v, pairing=int(pv), depth=sc.depth, star=False, count=0,
+                vertex=v, pairing=int(pv), depth=depth, star=False, count=0,
                 m_v=lp.coeff(v), m_v_plus=None, t=None, m_min=None, s_max=None)
         per.append(data)
 
@@ -176,7 +196,7 @@ def base_point_report(f: IntersectionForm, lp: Cycle) -> BasePointReport:
     if lp == zmax:
         floor = int(-f.pairing(zmax, zmax))
         mult = floor + correction
-        assert mult >= floor
+        check_identity(mult >= floor, f"mult = {mult} is below -Z_max^2 = {floor}")
     return BasePointReport(lp, tuple(per), total, mult, floor, False)
 
 
@@ -184,10 +204,10 @@ def _rational_report(f: IntersectionForm, lp: Cycle, zmax: Cycle) -> BasePointRe
     # base-point free for every semigroup class; the depth-one condition
     # provably never holds at a vertex with negative pairing
     if __debug__ and in_analytic_semigroup(f, lp):
-        for v in f.ids:
-            if f.pairing_vertex(lp, v) < 0:
-                sc = star_condition(f, lp, v)
-                assert not sc.star and sc.depth >= 2
+        chi_lp = f.chi(lp)
+        for v, _ in _negative_pairings(f, lp):
+            depth, _ = _depth_search(f, lp, chi_lp, v)
+            check_identity(depth >= 2, f"depth {depth} at vertex {v} of a rational graph")
     mult = None
     floor = None
     if lp == zmax:
@@ -199,12 +219,9 @@ def _rational_report(f: IntersectionForm, lp: Cycle, zmax: Cycle) -> BasePointRe
 def multiplicity_generic(f: IntersectionForm) -> BasePointReport:
     """Multiplicity of the generic structure via the corrected Wagreich bound."""
     cls = classify(f)
-    if cls.tag is SingularityClass.RATIONAL:
-        zmin = laufer_zmin(f)
-        return _rational_report(f, zmin, zmin)
-    zmax = maximal_ideal_cycle(f).cycle
-    report = base_point_report(f, zmax)
-    assert report.multiplicity is not None
+    zmax = _maximal_ideal_cycle(f, cls).cycle
+    report = _report(f, cls, zmax, zmax)
+    check_identity(report.multiplicity is not None, "no multiplicity in the report on Z_max")
     return report
 
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze, multiplicity, semigroup, hilbert, blowup, selfcheck.
-Exit codes: 0 success, 1 parse error, 2 invariant violation, 3 theorem
-hypothesis violation.  Set PLUMBLAT_LOG=debug for verbose logging.
+Exit codes: 0 success, 1 parse error, 2 invariant violation (including a
+failed theorem identity), 3 theorem hypothesis violation.  Set
+PLUMBLAT_LOG=debug to log one record per analyzed graph.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .graphio import (
     parse_graph_file,
 )
 from .invariants import (
+    InvariantReport,
     hilbert_h,
     in_analytic_semigroup,
     invariant_report,
@@ -63,11 +65,9 @@ def _base_point_lines(report: BasePointReport) -> list[str]:
     return ["base points: " + "; ".join(parts)]
 
 
-def _analysis_payload(f) -> dict:
-    inv = invariant_report(f)
-    bp = multiplicity_generic(f)
+def _analysis_payload(f, inv: InvariantReport, bp: BasePointReport) -> dict:
     zk = f.canonical()
-    payload = {
+    return {
         "name": f.graph.name,
         "vertices": f.n,
         "det_neg": f.det_neg,
@@ -90,15 +90,12 @@ def _analysis_payload(f) -> dict:
         "chi_minimizers": [cycle_to_json(c)
                            for c in min_chi_positive(f).minimizers],
     }
-    return payload
 
 
-def _analysis_text(f) -> list[str]:
-    inv = invariant_report(f)
-    bp = multiplicity_generic(f)
+def _analysis_text(f, inv: InvariantReport, bp: BasePointReport) -> list[str]:
     cls = inv.graph_class
     name = f.graph.name or "<graph>"
-    lines = [
+    return [
         f"graph {name}: {f.n} vertices, det(-I) = {f.det_neg}",
         f"class: {cls.tag.value} (min chi over positive cycles = "
         f"{frac_repr(cls.min_chi_positive)}, numerically Gorenstein: "
@@ -110,16 +107,36 @@ def _analysis_text(f) -> list[str]:
         f"Z_max = {cycle_to_text(inv.z_max)}"
         + (" (= Z_K)" if inv.z_max == f.canonical() else ""),
         f"mult (generic) = {bp.multiplicity}",
-    ]
-    lines += _base_point_lines(bp)
-    return lines
+    ] + _base_point_lines(bp)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _multiplicity_payload(f, bp: BasePointReport) -> dict:
+    return {
+        "name": f.graph.name,
+        "multiplicity": bp.multiplicity,
+        "wagreich_floor": bp.wagreich_floor,
+        "z_max": cycle_to_json(bp.chern),
+        "z_max_is_canonical": bp.chern == f.canonical(),
+        "total_base_points": bp.total_base_points,
+        "base_points": _base_point_json(bp),
+    }
+
+
+def _multiplicity_text(f, bp: BasePointReport) -> list[str]:
+    return [
+        f"mult = {bp.multiplicity}",
+        f"-Zmax^2 = {bp.wagreich_floor}",
+        f"Z_max = {cycle_to_text(bp.chern)}"
+        + (" (= Z_K)" if bp.chern == f.canonical() else ""),
+    ] + _base_point_lines(bp)
+
+
+def _emit(args, payload, text_lines) -> None:
+    """Print the rendering ``args.format`` asks for; both are zero-argument callables."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(text_lines()))
 
 
 def _iter_graph_files(args):
@@ -133,6 +150,14 @@ def _iter_graph_files(args):
     return [Path(args.path)]
 
 
+def _exit_code(exc: PlumblatError) -> int:
+    if isinstance(exc, GraphParseError):
+        return 1
+    if isinstance(exc, HypothesisViolation):
+        return 3
+    return 2
+
+
 def _batch(args, per_file) -> int:
     """Run per_file over one or many graph files, isolating failures."""
     status = 0
@@ -141,59 +166,39 @@ def _batch(args, per_file) -> int:
             g = parse_graph_file(path)
             f = build_form(g)
             per_file(path, f)
-        except GraphParseError as exc:
-            print(f"{path}: parse error: {exc}", file=sys.stderr)
-            status = max(status, 1) if args.corpus else 1
-            if not args.corpus:
-                return 1
-        except HypothesisViolation as exc:
-            print(f"{path}: hypothesis violation: {exc}", file=sys.stderr)
-            if not args.corpus:
-                return 3
-            status = max(status, 3)
         except PlumblatError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
+            code = _exit_code(exc)
+            label = {1: "parse error: ", 3: "hypothesis violation: "}.get(code, "")
+            print(f"{path}: {label}{exc}", file=sys.stderr)
             if not args.corpus:
-                return 2
-            status = max(status, 2)
+                return code
+            status = max(status, code)
     return status
 
 
 def cmd_analyze(args) -> int:
     def per_file(path, f):
+        inv = invariant_report(f)
+        bp = multiplicity_generic(f)
+        log.debug("analyzed %s: %d vertices, class %s, %d cached min_chi results",
+                  path, f.n, inv.graph_class.tag.value, len(f._minchi_cache))
         if args.corpus and args.format == "text":
-            inv = invariant_report(f)
-            bp = multiplicity_generic(f)
             print(f"{path.name}\t{inv.graph_class.tag.value}\tp_g={inv.p_g}\t"
                   f"min_chi={frac_repr(inv.min_chi)}\tmult={bp.multiplicity}")
         else:
-            _emit(args, _analysis_payload(f), _analysis_text(f))
+            _emit(args, lambda: _analysis_payload(f, inv, bp),
+                  lambda: _analysis_text(f, inv, bp))
     return _batch(args, per_file)
 
 
 def cmd_multiplicity(args) -> int:
     def per_file(path, f):
         bp = multiplicity_generic(f)
-        payload = {
-            "name": f.graph.name,
-            "multiplicity": bp.multiplicity,
-            "wagreich_floor": bp.wagreich_floor,
-            "z_max": cycle_to_json(bp.chern),
-            "z_max_is_canonical": bp.chern == f.canonical(),
-            "total_base_points": bp.total_base_points,
-            "base_points": _base_point_json(bp),
-        }
-        lines = [
-            f"mult = {bp.multiplicity}",
-            f"-Zmax^2 = {bp.wagreich_floor}",
-            f"Z_max = {cycle_to_text(bp.chern)}"
-            + (" (= Z_K)" if bp.chern == f.canonical() else ""),
-        ]
-        lines += _base_point_lines(bp)
         if args.corpus and args.format == "text":
             print(f"{path.name}\tmult={bp.multiplicity}\tbase_points={bp.total_base_points}")
         else:
-            _emit(args, payload, lines)
+            _emit(args, lambda: _multiplicity_payload(f, bp),
+                  lambda: _multiplicity_text(f, bp))
     return _batch(args, per_file)
 
 
@@ -208,7 +213,8 @@ def cmd_semigroup(args) -> int:
         "cycle": cycle_to_json(lp),
         "in_analytic_semigroup": member,
     }
-    _emit(args, payload, [f"{cycle_to_text(lp)} in S'_an: {'true' if member else 'false'}"])
+    _emit(args, lambda: payload,
+          lambda: [f"{cycle_to_text(lp)} in S'_an: {'true' if member else 'false'}"])
     return 0
 
 
@@ -222,8 +228,8 @@ def cmd_hilbert(args) -> int:
         "cycle": cycle_to_json(l0),
         "values": [{"k": k, "h": h} for k, h in rows],
     }
-    lines = ["k\th(k*l0)"] + [f"{k}\t{h}" for k, h in rows]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload,
+          lambda: ["k\th(k*l0)"] + [f"{k}\t{h}" for k, h in rows])
     return 0
 
 
@@ -312,15 +318,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HypothesisViolation as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return 3
     except PlumblatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = _exit_code(exc)
+        print(f"{'hypothesis violation' if code == 3 else 'error'}: {exc}", file=sys.stderr)
+        return code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,6 +85,16 @@ class BoxTooLarge(PlumblatError):
     pass
 
 
+class InvariantViolation(PlumblatError):
+    """A theorem identity the library checks failed on a concrete graph."""
+
+
+def check_identity(holds: bool, message: str) -> None:
+    """Raise InvariantViolation unless a theorem identity holds; survives -O."""
+    if not holds:
+        raise InvariantViolation(message)
+
+
 class HypothesisViolation(PlumblatError):
     """A theorem hypothesis failed on this input; report, do not guess."""
 

@@ -284,10 +284,6 @@ class Cycle:
         return "{" + ", ".join(parts) + "}"
 
 
-#: Rational cycles (elements of L' or L (x) Q) share the representation.
-RatCycle = Cycle
-
-
 # ---------------------------------------------------------------------------
 # Intersection form
 # ---------------------------------------------------------------------------
@@ -363,7 +359,6 @@ class IntersectionForm:
         for k, mk in enumerate(minors):
             if mk <= 0:
                 raise NotNegativeDefinite(k + 1)
-        self._neg_minors = tuple(minors)  # minors of -I, all positive
         self.det_neg: int = minors[-1]
 
         self.inverse: tuple[tuple[Fraction, ...], ...] = _invert(m)
@@ -376,8 +371,11 @@ class IntersectionForm:
 
         self._dual_basis: Optional[tuple[Cycle, ...]] = None
         self._canonical: Optional[Cycle] = None
-        self._bareiss = None
         self._minchi_cache: dict = {}
+        # set by the minimizer on first use: its factorization of -I and the
+        # continuous minimum chi(K/2)
+        self._quad_data_cache = None
+        self._chi_cont_cache: Optional[Fraction] = None
 
     # -- basic lattice objects ------------------------------------------------
 
@@ -479,31 +477,3 @@ class IntersectionForm:
 def build_form(g: ResolutionGraph) -> IntersectionForm:
     """Validate ``g`` and return its exact intersection form."""
     return IntersectionForm(g)
-
-
-def dual_cycle(f: IntersectionForm, v: int) -> Cycle:
-    return f.dual(v)
-
-
-def canonical_cycle(f: IntersectionForm) -> Cycle:
-    return f.canonical()
-
-
-def chi(f: IntersectionForm, x: Cycle) -> Fraction:
-    return f.chi(x)
-
-
-def pairing(f: IntersectionForm, x: Cycle, y: Cycle) -> Fraction:
-    return f.pairing(x, y)
-
-
-def in_lipman_cone(f: IntersectionForm, x: Cycle) -> bool:
-    return f.in_lipman_cone(x)
-
-
-def leq(x: Cycle, y: Cycle) -> bool:
-    return x.leq(y)
-
-
-def is_integral(x: Cycle) -> bool:
-    return x.is_integral()

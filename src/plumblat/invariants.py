@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .errors import DisconnectedSupport, NegativeInput, NotElliptic
+from .errors import DisconnectedSupport, NegativeInput, NotElliptic, check_identity
 from .graph import Cycle, IntersectionForm, is_minimal_resolution
 from .minimize import ChiMinResult, Constraint, laufer_zmin, min_chi, minimizer_join, minimizer_meet
 
@@ -97,7 +97,7 @@ def min_chi_positive(f: IntersectionForm) -> ChiMinResult:
 
 def classify(f: IntersectionForm) -> GraphClass:
     mp = min_chi_positive(f).min_value
-    assert mp <= 1, "chi(Z_min) <= 1 forces min over l>0 to be at most 1"
+    check_identity(mp <= 1, f"min chi over l > 0 is {mp}, but chi(Z_min) <= 1 bounds it")
     if mp >= 1:
         tag = SingularityClass.RATIONAL
     elif mp == 0:
@@ -109,15 +109,19 @@ def classify(f: IntersectionForm) -> GraphClass:
 
 def geometric_genus(f: IntersectionForm) -> int:
     """1 - min over l>0 of chi on non-rational graphs, 0 on rational ones."""
-    cls = classify(f)
+    return _genus(f, classify(f))
+
+
+def _genus(f: IntersectionForm, cls: GraphClass) -> int:
     mp = cls.min_chi_positive
     if cls.tag is SingularityClass.RATIONAL:
-        assert mp == 1, "rational graphs attain chi = 1 on positive cycles"
+        check_identity(mp == 1, f"rational graph with min chi over l > 0 = {mp}, not 1")
         return 0
     pg = 1 - mp
     # the two branches of the genus formula must agree
-    assert pg == -min_chi_lattice(f).min_value + 1
-    assert pg == int(pg) and pg > 0
+    ml = min_chi_lattice(f).min_value
+    check_identity(pg == 1 - ml and pg.denominator == 1 and pg > 0,
+                   f"genus formulas disagree: 1 - min over l>0 = {pg}, over L {1 - ml}")
     return int(pg)
 
 
@@ -219,11 +223,18 @@ def maximal_ideal_cycle(f: IntersectionForm) -> MaxIdealCycle:
     minimizer of chi is 0) and the fundamental cycle is returned instead,
     flagged as the Artin fallback.
     """
-    cls = classify(f)
+    return _maximal_ideal_cycle(f, classify(f))
+
+
+def _maximal_ideal_cycle(f: IntersectionForm, cls: GraphClass,
+                         zmin: Optional[Cycle] = None) -> MaxIdealCycle:
+    """Z_max of a graph of class ``cls``; ``zmin`` saves the Laufer run."""
     if cls.tag is SingularityClass.RATIONAL:
-        return MaxIdealCycle(laufer_zmin(f), True)
+        return MaxIdealCycle(laufer_zmin(f) if zmin is None else zmin, True)
     res = min_chi_positive(f)
-    assert res.min_value == min_chi_lattice(f).min_value
+    ml = min_chi_lattice(f).min_value
+    check_identity(res.min_value == ml,
+                   f"min chi over l > 0 ({res.min_value}) differs from min chi over L ({ml})")
     return MaxIdealCycle(minimizer_join(res), False)
 
 
@@ -279,12 +290,12 @@ def big_cycle(f: IntersectionForm) -> Cycle:
 
 def invariant_report(f: IntersectionForm) -> InvariantReport:
     cls = classify(f)
-    pg = geometric_genus(f)
+    pg = _genus(f, cls)
     zmin = laufer_zmin(f)
-    zmax = maximal_ideal_cycle(f)
+    zmax = _maximal_ideal_cycle(f, cls, zmin).cycle
     ml = min_chi_lattice(f).min_value
-    assert pg >= 0
     if pg > 0:
-        assert zmin.leq(zmax.cycle)
-        assert f.chi(zmax.cycle) == ml
-    return InvariantReport(pg, zmin, zmax.cycle, cls, ml)
+        check_identity(zmin.leq(zmax), f"Z_min = {zmin} is not below Z_max = {zmax}")
+        chi_max = f.chi(zmax)
+        check_identity(chi_max == ml, f"chi(Z_max) = {chi_max} differs from min chi = {ml}")
+    return InvariantReport(pg, zmin, zmax, cls, ml)

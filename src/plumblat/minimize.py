@@ -131,14 +131,6 @@ class _QuadData:
         self.mq = tuple(tuple(row) for row in mq)
 
 
-def _quad_data(form: IntersectionForm) -> _QuadData:
-    qd = getattr(form, "_quad_data_cache", None)
-    if qd is None:
-        qd = _QuadData(form)
-        form._quad_data_cache = qd
-    return qd
-
-
 def _nearest_int(num: int, den: int) -> int:
     """Nearest integer to num/den for den > 0 (ties round up)."""
     return (2 * num + den) // (2 * den)
@@ -193,10 +185,9 @@ def min_chi(form: IntersectionForm, shift: Optional[Cycle],
     n = form.n
     zk = form.canonical()
     half_k = zk.scale(Fraction(1, 2))
-    chi_cont = getattr(form, "_chi_cont_cache", None)
-    if chi_cont is None:
-        chi_cont = form.chi(half_k)  # the unconstrained continuous minimum
-        form._chi_cont_cache = chi_cont
+    if form._chi_cont_cache is None:
+        form._chi_cont_cache = form.chi(half_k)  # the unconstrained continuous minimum
+    chi_cont = form._chi_cont_cache
     c = [half_k.coeffs[i] - shift.coeffs[i] for i in range(n)]
     dd = math.lcm(*[x.denominator for x in c]) if n else 1
     p = [int(x * dd) for x in c]
@@ -224,7 +215,9 @@ def min_chi(form: IntersectionForm, shift: Optional[Cycle],
         else:
             raise EmptyFeasibleRegion("no feasible point besides the excluded 0")
 
-    qd = _quad_data(form)
+    if form._quad_data_cache is None:
+        form._quad_data_cache = _QuadData(form)
+    qd = form._quad_data_cache
     perm, rows, weights, lam, mq = qd.perm, qd.rows, qd.weights, qd.lam, qd.mq
 
     def qval(y: list[int]) -> int:

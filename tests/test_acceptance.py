@@ -12,7 +12,6 @@ from fractions import Fraction as Q
 from plumblat import (
     Constraint,
     base_point_report,
-    canonical_cycle,
     classify,
     geometric_genus,
     hilbert_h,
@@ -53,7 +52,7 @@ def test_criterion_1_g1_package():
     f = form(graph_g1())
     assert f.det_neg == 1
     zmin = laufer_zmin(f)
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     assert zmin == f.dual(G1_END)
     assert zk == f.dual(G1_MINUS_THREE)
     assert min_chi_lattice(f).min_value == 0
@@ -213,7 +212,7 @@ def test_criterion_6_elliptic_suite():
         cls = classify(f)
         assert cls.tag is SingularityClass.ELLIPTIC
         assert cls.numerically_gorenstein and cls.is_minimal
-        assert maximal_ideal_cycle(f).cycle == canonical_cycle(f), g.name
+        assert maximal_ideal_cycle(f).cycle == f.canonical(), g.name
         c = minimally_elliptic_cycle(f)
         assert f.chi(c) == 0
         rep = multiplicity_generic(f)
@@ -228,7 +227,7 @@ def test_criterion_7_identity_suite():
     samples_per_graph = 1000
     for g in graphs:
         f = form(g)
-        zk = canonical_cycle(f)
+        zk = f.canonical()
         # one-shot facts
         for u in f.ids:
             du = f.dual(u)

@@ -10,9 +10,9 @@ from plumblat import (
     NotStar,
     base_point_data,
     base_point_report,
-    canonical_cycle,
     distinct_base_points_check,
     in_analytic_semigroup,
+    invariant_report,
     laufer_zmin,
     maximal_ideal_cycle,
     multiplicity_generic,
@@ -24,18 +24,20 @@ from corpus import (
     G1_MINUS_THREE,
     G2_HUB,
     ade_graphs,
+    e_n,
     elliptic_corpus,
     form,
     graph_g1,
     graph_g2,
     rational_random_graphs,
     single,
+    star,
 )
 
 
 def test_star_condition_g1():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     sc = star_condition(f, zk, G1_MINUS_THREE)
     assert sc.star and sc.depth == 1
     # chi(Z_K + Z_min) realizes the depth
@@ -48,7 +50,7 @@ def test_star_condition_g2():
     sc = star_condition(f, zmax, G2_HUB)
     assert sc.star
     # Z_K >= E_v + Z_max realizes it
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     assert (f.unit(G2_HUB) + zmax).leq(zk)
     assert f.chi(zk) == f.chi(zmax) + 1
 
@@ -75,7 +77,7 @@ def test_rational_star_never_fires_at_negative_pairing():
 
 def test_base_point_data_g1():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     d = base_point_data(f, zk, G1_MINUS_THREE)
     assert d.count == 1 and d.t == 1 and d.pairing == -1
     assert d.m_v == 2 and d.m_v_plus == 3
@@ -85,7 +87,7 @@ def test_base_point_data_g1():
 
 def test_base_point_data_g1_second_class():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     zmin = laufer_zmin(f)
     lp = zk + zmin
     assert f.pairing_vertex(lp, G1_MINUS_THREE) == -1
@@ -103,7 +105,7 @@ def test_base_point_data_g2():
 
 def test_base_point_data_requires_star():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     # vertex with non-negative pairing
     with pytest.raises(NotStar):
         base_point_data(f, zk, 1)
@@ -146,7 +148,7 @@ def test_report_invariants():
 
 def test_base_point_report_non_zmax_class():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     lp = zk + laufer_zmin(f)
     rep = base_point_report(f, lp)
     assert rep.multiplicity is None and rep.wagreich_floor is None
@@ -189,7 +191,7 @@ def test_m_plus_equals_direct_minimal_semigroup_element():
 
 def test_distinct_base_points_g1():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     zmin = laufer_zmin(f)
     rep = distinct_base_points_check(f, zk, zk + zmin, G1_MINUS_THREE)
     assert rep.status is Distinctness.EXPECTED_DISTINCT
@@ -201,7 +203,7 @@ def test_distinct_base_points_g1():
 
 def test_distinct_base_points_identical_classes():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     rep = distinct_base_points_check(f, zk, zk, G1_MINUS_THREE)
     assert rep.status is Distinctness.POSSIBLY_COMMON
     assert rep.m_equal
@@ -209,7 +211,7 @@ def test_distinct_base_points_identical_classes():
 
 def test_distinct_base_points_requires_star():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     with pytest.raises(NotStar):
         distinct_base_points_check(f, zk, zk, 1)
 
@@ -226,3 +228,32 @@ def test_elliptic_base_point_iff_c_squared_minus_one():
             assert rep.total_base_points == 1
             starred = [d for d in rep.per_vertex if d.star]
             assert len(starred) == 1 and starred[0].t == 1
+
+
+@pytest.mark.parametrize("g", [graph_g1(), graph_g2(), e_n(8),
+                               star("star9", -10, [-2, -3, -4] * 3)],
+                         ids=["g1", "g2", "e8", "star9"])
+def test_analysis_classifies_twice_and_searches_each_vertex_once(monkeypatch, g):
+    import plumblat.basepoints as bp_mod
+    import plumblat.invariants as inv_mod
+    counts = {"classify": 0, "depth": 0}
+    classify, min_chi = inv_mod.classify, bp_mod.min_chi
+
+    def counted_classify(f):
+        counts["classify"] += 1
+        return classify(f)
+
+    def counted_min_chi(*args):
+        counts["depth"] += 1
+        return min_chi(*args)
+
+    monkeypatch.setattr(inv_mod, "classify", counted_classify)
+    monkeypatch.setattr(bp_mod, "classify", counted_classify)
+    monkeypatch.setattr(bp_mod, "min_chi", counted_min_chi)
+    f = form(g)
+    inv = invariant_report(f)
+    multiplicity_generic(f)
+    assert counts["classify"] == 2
+    # on rational graphs only the debug scan searches; pytest runs with it on
+    negative = [v for v in f.ids if f.pairing_vertex(inv.z_max, v) < 0]
+    assert negative and counts["depth"] == len(negative)

@@ -1,6 +1,11 @@
 """Command-line surface: formats, golden files, exit codes, round trips."""
 
+import dataclasses
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +130,87 @@ def test_exit_code_hypothesis_violation(monkeypatch, capsys):
     assert code == 3 and "synthetic" in err
 
 
+def _shift_min_chi_lattice(monkeypatch):
+    """Make the lattice minimum disagree with the positive-cone minimum."""
+    import plumblat.invariants as inv_mod
+    orig = inv_mod.min_chi_lattice
+
+    def shifted(f):
+        res = orig(f)
+        return dataclasses.replace(res, min_value=res.min_value - 1)
+
+    monkeypatch.setattr(inv_mod, "min_chi_lattice", shifted)
+
+
+def test_exit_code_failed_identity(monkeypatch, capsys):
+    _shift_min_chi_lattice(monkeypatch)
+    code, _, err = run_cli(capsys, "analyze", str(GRAPHS / "g1.json"))
+    assert code == 2 and "genus formulas disagree" in err
+
+
+def test_failed_identity_survives_optimize():
+    script = (
+        "import dataclasses, sys\n"
+        "import plumblat.invariants as inv\n"
+        "from plumblat.cli import main\n"
+        "orig = inv.min_chi_lattice\n"
+        "inv.min_chi_lattice = lambda f: dataclasses.replace(\n"
+        "    orig(f), min_value=orig(f).min_value - 1)\n"
+        f"sys.exit(main(['analyze', {str(GRAPHS / 'g1.json')!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(GRAPHS / "g1.json")],
+    ["--format", "json", "analyze", str(GRAPHS / "g2.json")],
+    ["analyze", "--corpus", str(GRAPHS)],
+])
+def test_analyze_builds_each_report_once(monkeypatch, capsys, argv):
+    import plumblat.cli as cli_mod
+    counts = {}
+    for name in ("invariant_report", "multiplicity_generic", "cycle_to_json"):
+        _count_calls(monkeypatch, cli_mod, name, counts)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    graphs = len(list(GRAPHS.glob("*.json"))) if "--corpus" in argv else 1
+    assert counts["invariant_report"] == graphs
+    assert counts["multiplicity_generic"] == graphs
+    if "json" not in argv:
+        assert "cycle_to_json" not in counts
+
+
+def test_multiplicity_builds_report_once(monkeypatch, capsys):
+    import plumblat.cli as cli_mod
+    counts = {}
+    _count_calls(monkeypatch, cli_mod, "multiplicity_generic", counts)
+    code, _, _ = run_cli(capsys, "multiplicity", str(GRAPHS / "g1.json"))
+    assert code == 0 and counts["multiplicity_generic"] == 1
+
+
+def test_debug_log_record_per_graph(caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="plumblat")
+    code, _, _ = run_cli(capsys, "analyze", str(GRAPHS / "a1.json"))
+    assert code == 0
+    records = [r.getMessage() for r in caplog.records if r.name == "plumblat"]
+    assert len(records) == 1
+    msg = records[0]
+    assert "a1.json" in msg and "1 vertices" in msg and "class rational" in msg
+    assert "cached min_chi results" in msg
+
+
 def test_corpus_batch_mode(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--corpus", str(GRAPHS))
     assert code == 0
@@ -141,6 +227,23 @@ def test_corpus_batch_isolates_failures(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "--corpus", str(tmp_path))
     assert code == 2
     assert "ok.json" in out and "bad.json" in err
+
+
+def test_corpus_batch_reports_hypothesis_violation(monkeypatch, capsys):
+    import plumblat.cli as cli_mod
+    orig = cli_mod.multiplicity_generic
+
+    def boom_on_g1(f):
+        if f.graph.name == "g1":
+            raise ExtremalNotMinimizer("synthetic")
+        return orig(f)
+
+    monkeypatch.setattr(cli_mod, "multiplicity_generic", boom_on_g1)
+    code, out, err = run_cli(capsys, "analyze", "--corpus", str(GRAPHS))
+    assert code == 3
+    printed = [line.split("\t")[0] for line in out.splitlines() if line]
+    assert printed == sorted(p.name for p in GRAPHS.glob("*.json") if p.name != "g1.json")
+    assert "g1.json: hypothesis violation: synthetic" in err
 
 
 def test_cycle_spec_parsing():

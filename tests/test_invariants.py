@@ -13,7 +13,6 @@ from plumblat import (
     NotElliptic,
     SingularityClass,
     big_cycle,
-    canonical_cycle,
     classify,
     e_dimension,
     geometric_genus,
@@ -70,7 +69,7 @@ def test_h1_cycle_rational_reduced():
 
 def test_h1_cycle_saturates_to_genus():
     f = form(graph_g1())
-    assert h1_cycle(f, canonical_cycle(f).scale(10)) == 1
+    assert h1_cycle(f, f.canonical().scale(10)) == 1
     z = big_cycle(f)
     assert h1_cycle(f, z) == geometric_genus(f)
     # stabilization: one more full cycle does not change the value
@@ -108,7 +107,7 @@ def test_h1_cycle_proper_connected_support():
 
 def test_h1_twisted_zmax_on_g1():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     z = big_cycle(f)
     out = h1_twisted(f, z, zk)
     assert out.value == 0 and out.hypothesis_ok
@@ -140,7 +139,7 @@ def test_h1_twisted_hypothesis_flag():
 def test_h1_bundle_branches():
     f = form(graph_g1())
     assert h1_bundle(f, f.zero()) == geometric_genus(f)
-    assert h1_bundle(f, canonical_cycle(f)) == 0
+    assert h1_bundle(f, f.canonical()) == 0
     f_rat = form(single(-2))
     assert h1_bundle(f_rat, f_rat.zero()) == 0
     # non-integral classes never get the +1 branch
@@ -166,13 +165,13 @@ def test_hilbert_function():
 def test_analytic_semigroup_membership():
     f = form(graph_g1())
     assert in_analytic_semigroup(f, f.zero())
-    assert in_analytic_semigroup(f, canonical_cycle(f))
+    assert in_analytic_semigroup(f, f.canonical())
     assert not in_analytic_semigroup(f, laufer_zmin(f))
 
 
 def test_semigroup_closed_under_addition_sampled():
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     members = [zk, zk + laufer_zmin(f), zk.scale(2)]
     for a in members:
         assert in_analytic_semigroup(f, a)
@@ -183,7 +182,7 @@ def test_semigroup_closed_under_addition_sampled():
 def test_maximal_ideal_cycle():
     f = form(graph_g1())
     res = maximal_ideal_cycle(f)
-    assert res.cycle == canonical_cycle(f)
+    assert res.cycle == f.canonical()
     assert not res.artin_fallback
     f2 = form(graph_g2())
     assert maximal_ideal_cycle(f2).cycle == f2.dual(G2_HUB).scale(2)
@@ -219,7 +218,7 @@ def test_minimally_elliptic_cycle_g1():
     assert c.coeff(G1_MINUS_THREE) == 1
     assert c.coeff(G1_END) == 0
     # C is also the minimal cycle >= E_v realizing depth one at Z_K
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     from plumblat import minimizer_meet
     res = min_chi(f, zk, Constraint.at_least(f.unit(G1_MINUS_THREE)))
     assert minimizer_meet(res) == c
@@ -236,7 +235,7 @@ def test_elliptic_corpus_zmax_is_canonical():
         cls = classify(f)
         assert cls.tag is SingularityClass.ELLIPTIC
         assert cls.numerically_gorenstein and cls.is_minimal
-        assert maximal_ideal_cycle(f).cycle == canonical_cycle(f)
+        assert maximal_ideal_cycle(f).cycle == f.canonical()
 
 
 def test_e_dimension():

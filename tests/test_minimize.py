@@ -7,7 +7,6 @@ import pytest
 from plumblat import (
     Constraint,
     EmptyFeasibleRegion,
-    canonical_cycle,
     laufer_zmin,
     min_chi,
     minimizer_join,
@@ -33,7 +32,7 @@ def test_g1_min_over_lattice_and_canonical_membership():
     f = form(graph_g1())
     res = min_chi(f, None, Constraint.over_lattice())
     assert res.min_value == 0
-    assert canonical_cycle(f) in res.minimizers
+    assert f.canonical() in res.minimizers
 
 
 def test_g2_min_over_lattice():
@@ -51,7 +50,7 @@ def test_min_nonneg_equals_min_lattice():
 def test_g1_join_is_canonical():
     f = form(graph_g1())
     res = min_chi(f, None, Constraint.positive(f))
-    assert minimizer_join(res) == canonical_cycle(f)
+    assert minimizer_join(res) == f.canonical()
 
 
 def test_singleton_minimizer_join_meet():
@@ -66,7 +65,7 @@ def test_level_set_meet_is_meet_closed():
     # pairwise meets of level-set members stay in the level set, hence the
     # global meet is the minimally elliptic cycle here
     f = form(graph_g1())
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     cons = Constraint.at_least(f.unit(G1_MINUS_THREE))
     res = min_chi(f, zk, cons)
     assert res.min_value == f.chi(zk) + 1

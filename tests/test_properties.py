@@ -11,7 +11,6 @@ from plumblat import (
     SingularityClass,
     blow_up_generic,
     build_form,
-    canonical_cycle,
     classify,
     hilbert_h,
     laufer_zmin,
@@ -47,7 +46,7 @@ def form_and_cycles(draw):
 @settings(max_examples=60, deadline=None)
 def test_chi_duality_and_bilinearity(data):
     f, x, y = data
-    zk = canonical_cycle(f)
+    zk = f.canonical()
     assert f.chi(x) == f.chi(zk - x)
     assert f.chi(x + y) == f.chi(x) + f.chi(y) - f.pairing(x, y)
 
