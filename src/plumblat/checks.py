@@ -46,7 +46,7 @@ def analytic_box(f: IntersectionForm, shift, value, constraint: Constraint,
     lo, hi = [], []
     for i, v in enumerate(f.ids):
         c = zk.coeffs[i] / 2 - (shift.coeffs[i] if shift is not None else 0)
-        w = -f.inverse[i][i]
+        w = Fraction(f.adj_neg[i][i], f.det_neg)
         rad2 = 2 * delta * w
         r = 0
         if rad2 > 0:

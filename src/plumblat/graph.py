@@ -7,6 +7,10 @@ definite.  Everything downstream lives in the lattice L spanned by the
 vertex classes E_v and its dual L' inside L (x) Q, so all arithmetic here is
 exact: ``int`` and ``fractions.Fraction`` only, no floating point.
 
+One fraction-free Gauss-Jordan pass on -I gives definiteness, det(-I) and
+the integer adjugate, so (-I)^{-1} = adj(-I) / det(-I).  Pairings walk the
+diagonal and the tree's n-1 edges on integer numerators.
+
 Conventions used throughout the package:
 
 * cycles are coefficient vectors indexed by vertex id, held in ascending id
@@ -100,20 +104,9 @@ class ResolutionGraph:
             seen.add(key)
         if len(self.edges) != len(ids) - 1:
             raise NotATree(f"{len(ids)} vertices need {len(ids) - 1} edges, got {len(self.edges)}")
-        if len(self._component_of(ids[0])) != len(ids):
+        if len(self.components_of(ids)) != 1:
             raise Disconnected("graph is not connected")
         # |E| = |V|-1 and connected already implies acyclic
-
-    def _component_of(self, start: int) -> set[int]:
-        adj = self.adjacency()
-        todo, seen = [start], {start}
-        while todo:
-            v = todo.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
 
     def induced(self, sub_ids: Iterable[int], name: Optional[str] = None) -> "ResolutionGraph":
         """Full subgraph on ``sub_ids`` with Euler numbers copied over."""
@@ -289,93 +282,81 @@ class Cycle:
 # ---------------------------------------------------------------------------
 
 
-def _leading_minors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    a = [[int(x) for x in row] for row in matrix]
-    minors: list[int] = []
+def _eliminate(neg: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det and integer adjugate of -I by one fraction-free Gauss-Jordan pass.
+
+    Bareiss elimination of [-I | Id] without pivoting ends at [det | adj].
+    The pivot of step k is the leading principal minor of order k+1, so the
+    first non-positive one raises :class:`NotNegativeDefinite` at its index.
+    After step k a row is live only in the augmented columns k+1 .. n+k, and
+    the unit of row k on the right has been scaled to the previous pivot.
+    """
+    n = len(neg)
+    a = [list(row) + [0] * n for row in neg]
     prev = 1
     for k in range(n):
+        a[k][n + k] = prev
         piv = a[k][k]
-        minors.append(piv)
-        if piv == 0:
-            # a zero pivot cannot occur for a definite matrix; report as-is
-            return minors
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
+        if piv <= 0:
+            raise NotNegativeDefinite(k + 1)
+        lo, hi = k + 1, n + k + 1
+        pivot_row = a[k][lo:hi]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                row[lo:hi] = [(piv * x - f * y) // prev for x, y in zip(row[lo:hi], pivot_row)]
         prev = piv
-    return minors
-
-
-def _invert(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv_row is None:
-            raise GraphStructureError("intersection matrix is singular")
-        a[col], a[piv_row] = a[piv_row], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                ac = a[col]
-                a[r] = [x - f * y for x, y in zip(a[r], ac)]
-    return tuple(tuple(row[n:]) for row in a)
+    return prev, tuple(tuple(row[n:]) for row in a)
 
 
 class IntersectionForm:
     """Exact intersection data of a negative-definite resolution graph.
 
-    Holds the integer matrix I (ascending vertex-id order), its exact rational
-    inverse, det(-I) = |L'/L|, and lazily cached derived objects: the anti-dual
-    basis, the canonical class, and the fraction-free factorization used by the
-    minimizer.  Semantically immutable: every method is a pure function, and
-    the internal caches only memoize deterministic values, so concurrent use
-    is safe (a race at worst recomputes an identical result).
+    Holds the integer matrix I (ascending vertex-id order), det(-I) = |L'/L|,
+    the integer adjugate ``adj_neg`` of -I, with (-I)^{-1} = adj_neg / det_neg,
+    the tree's adjacency lists, and lazily cached derived objects: the
+    anti-dual basis, the canonical class, the fundamental cycle and the
+    fraction-free factorization used by the minimizer.  Semantically
+    immutable: every method is a pure function, and the internal caches only
+    memoize deterministic values, so concurrent use is safe (a race at worst
+    recomputes an identical result).
     """
 
     def __init__(self, graph: ResolutionGraph):
         graph.check_structure()
         self.graph = graph
         self.ids: tuple[int, ...] = graph.ids
-        self.n = len(self.ids)
+        self.n = n = len(self.ids)
         self.index: dict[int, int] = {v: i for i, v in enumerate(self.ids)}
-        eul = graph.euler_map()
-        m = [[0] * self.n for _ in range(self.n)]
-        for v, i in self.index.items():
-            m[i][i] = eul[v]
-        for a, b in graph.edges:
-            i, j = self.index[a], self.index[b]
-            m[i][j] = 1
-            m[j][i] = 1
+        eul, adjacency = graph.euler_map(), graph.adjacency()
+        self.diag: tuple[int, ...] = tuple(eul[v] for v in self.ids)
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            (self.index[a], self.index[b]) for a, b in graph.edges)
+        self.neighbours: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self.index[w] for w in adjacency[v]) for v in self.ids)
+        m = [[self.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in self.edges:
+            m[i][j] = m[j][i] = 1
         self.matrix: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in m)
 
-        neg = [[-x for x in row] for row in m]
-        minors = _leading_minors(neg)
-        for k, mk in enumerate(minors):
-            if mk <= 0:
-                raise NotNegativeDefinite(k + 1)
-        self.det_neg: int = minors[-1]
-
-        self.inverse: tuple[tuple[Fraction, ...], ...] = _invert(m)
-        # exactness check: I * I^{-1} == identity
-        for i in range(self.n):
-            for j in range(self.n):
-                s = sum(Fraction(self.matrix[i][k]) * self.inverse[k][j] for k in range(self.n))
-                if s != (1 if i == j else 0):
-                    raise GraphStructureError("exact inverse verification failed")
+        self.det_neg, self.adj_neg = _eliminate([[-x for x in row] for row in m])
+        # exactness check over the tree rows: (-I) adj_neg == det_neg Id
+        adj = self.adj_neg
+        for i in range(n):
+            row = [-self.diag[i] * x for x in adj[i]]
+            for w in self.neighbours[i]:
+                row = [x - y for x, y in zip(row, adj[w])]
+            if any(x != (self.det_neg if j == i else 0) for j, x in enumerate(row)):
+                raise GraphStructureError("exact adjugate verification failed")
 
         self._dual_basis: Optional[tuple[Cycle, ...]] = None
         self._canonical: Optional[Cycle] = None
         self._minchi_cache: dict = {}
-        # set by the minimizer on first use: its factorization of -I and the
-        # continuous minimum chi(K/2)
+        # set by the minimizer on first use: its factorization of -I, the
+        # continuous minimum chi(K/2) and the fundamental cycle
         self._quad_data_cache = None
         self._chi_cont_cache: Optional[Fraction] = None
+        self._zmin_cache: Optional[Cycle] = None
 
     # -- basic lattice objects ------------------------------------------------
 
@@ -395,16 +376,18 @@ class IntersectionForm:
         return Cycle.from_seq(self.ids, coeffs)
 
     def dual_basis(self) -> tuple[Cycle, ...]:
-        """All E*_v in vertex-id order; coefficients are strictly positive."""
+        """All E*_v in vertex-id order; coefficients are strictly positive.
+
+        E*_v is column v of (-I)^{-1}, i.e. adj_neg[.][v] / det_neg.
+        """
         if self._dual_basis is None:
-            basis = []
-            for j in range(self.n):
-                coeffs = tuple(-self.inverse[i][j] for i in range(self.n))
-                basis.append(Cycle(self.ids, coeffs))
-            self._dual_basis = tuple(basis)
+            det = self.det_neg
+            basis = tuple(Cycle(self.ids, tuple(Fraction(a, det) for a in col))
+                          for col in zip(*self.adj_neg))
             for c in basis:
                 if not all(x > 0 for x in c.coeffs):
                     raise GraphStructureError("dual basis cycle with non-positive coefficient")
+            self._dual_basis = basis
         return self._dual_basis
 
     def dual(self, v: int) -> Cycle:
@@ -415,34 +398,46 @@ class IntersectionForm:
     def canonical(self) -> Cycle:
         """Solution K of (K, E_v) = E_v^2 + 2 for every v."""
         if self._canonical is None:
-            b = [self.matrix[i][i] + 2 for i in range(self.n)]
-            coeffs = tuple(sum(self.inverse[i][j] * b[j] for j in range(self.n))
-                           for i in range(self.n))
-            self._canonical = Cycle(self.ids, coeffs)
+            b = [e + 2 for e in self.diag]
+            self._canonical = Cycle(self.ids, tuple(
+                Fraction(-sum(a * bj for a, bj in zip(row, b)), self.det_neg)
+                for row in self.adj_neg))
         return self._canonical
 
     # -- pairings --------------------------------------------------------------
 
-    def pairing(self, x: Cycle, y: Cycle) -> Fraction:
-        if x.ids != self.ids or y.ids != self.ids:
+    def _numerators(self, x: Cycle) -> tuple[list[int], int]:
+        """Integer numerators of x over the lcm of its denominators."""
+        if x.ids != self.ids:
             raise ValueError("cycle does not live on this form's vertex set")
-        total = Fraction(0)
-        for i, xi in enumerate(x.coeffs):
-            if xi == 0:
-                continue
-            row = self.matrix[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y.coeffs) if yj != 0)
+        den = math.lcm(*(c.denominator for c in x.coeffs))
+        return [c.numerator * (den // c.denominator) for c in x.coeffs], den
+
+    def _pair(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """(x, y) on integer vectors: the diagonal plus the tree's edges."""
+        total = sum(e * a * b for e, a, b in zip(self.diag, x, y))
+        for i, j in self.edges:
+            total += x[i] * y[j] + x[j] * y[i]
         return total
 
+    def pairing(self, x: Cycle, y: Cycle) -> Fraction:
+        xn, dx = self._numerators(x)
+        yn, dy = self._numerators(y)
+        return Fraction(self._pair(xn, yn), dx * dy)
+
     def pairing_vertex(self, x: Cycle, v: int) -> Fraction:
-        """(x, E_v) via one matrix row."""
+        """(x, E_v) from the coefficients at v and its neighbours."""
         if v not in self.index:
             raise NoSuchVertex(f"vertex {v} not in graph")
-        row = self.matrix[self.index[v]]
-        return sum(row[j] * xj for j, xj in enumerate(x.coeffs) if xj != 0)
+        i = self.index[v]
+        c = x.coeffs
+        return sum((c[w] for w in self.neighbours[i]), c[i] * self.diag[i])
 
     def chi(self, x: Cycle) -> Fraction:
-        return -(self.pairing(x, x) - self.pairing(x, self.canonical())) / 2
+        """-(x, x - K)/2 on integer numerators: x over d and K over dk."""
+        kn, dk = self._numerators(self.canonical())
+        xn, d = self._numerators(x)
+        return Fraction(self._pair(xn, kn) * d - self._pair(xn, xn) * dk, 2 * d * d * dk)
 
     def self_intersection(self, x: Cycle) -> Fraction:
         return self.pairing(x, x)

@@ -130,6 +130,11 @@ def _genus(f: IntersectionForm, cls: GraphClass) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_h1(val: Fraction, what: str) -> None:
+    check_identity(val.denominator == 1 and val >= 0,
+                   f"{what} is {val}, not a non-negative integer")
+
+
 def h1_cycle(f: IntersectionForm, z: Cycle) -> int:
     """h^1 of the structure sheaf of an effective cycle z > 0."""
     if not z.is_integral() or not z.is_effective() or z.is_zero():
@@ -143,7 +148,7 @@ def h1_cycle(f: IntersectionForm, z: Cycle) -> int:
         z = z.restrict(support)
     res = min_chi(f, None, Constraint.box(f.zero(), z, exclude_zero=True))
     val = 1 - res.min_value
-    assert val == int(val) and val >= 0
+    _check_h1(val, "h^1 of O_z")
     return int(val)
 
 
@@ -161,7 +166,7 @@ def h1_twisted(f: IntersectionForm, z: Cycle, lp: Cycle) -> TwistedH1:
     ok = all(lp.coeff(v) > 0 for v in z.support())
     res = min_chi(f, lp, Constraint.box(f.zero(), z))
     val = f.chi(lp) - res.min_value
-    assert val == int(val) and val >= 0
+    _check_h1(val, "twisted h^1")
     return TwistedH1(int(val), ok)
 
 
@@ -178,7 +183,7 @@ def h1_bundle(f: IntersectionForm, lp: Cycle) -> int:
     if lp.is_integral() and all(c <= 0 for c in lp.coeffs) \
             and classify(f).tag is not SingularityClass.RATIONAL:
         val += 1
-    assert val == int(val) and val >= 0
+    _check_h1(val, "h^1 of the natural line bundle")
     return int(val)
 
 
@@ -193,7 +198,7 @@ def hilbert_h(f: IntersectionForm, l0: Cycle) -> int:
     val = shifted - base
     if classify(f).tag is not SingularityClass.RATIONAL:
         val += 1
-    assert val == int(val) and val >= 0
+    _check_h1(val, "Hilbert function value")
     return int(val)
 
 
@@ -245,7 +250,8 @@ def minimally_elliptic_cycle(f: IntersectionForm) -> Cycle:
         raise NotElliptic(f"graph classifies as {cls.tag.value}")
     res = min_chi_positive(f)
     c = minimizer_meet(res)
-    assert f.chi(c) == 0
+    chi_c = f.chi(c)
+    check_identity(chi_c == 0, f"minimally elliptic cycle {c} has chi {chi_c}, not 0")
     return c
 
 

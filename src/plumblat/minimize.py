@@ -104,12 +104,13 @@ class _QuadData:
 
     def __init__(self, form: IntersectionForm):
         n = form.n
-        # anti-dual diagonal -(E*_v, E*_v) = ((-I)^{-1})_vv governs how wide a
-        # coordinate can swing; branching on the narrowest coordinates first
-        # (widest eliminated first) keeps the top of the search tree thin,
-        # measured orders of magnitude better on box-clamped instances.
-        w_diag = [-form.inverse[i][i] for i in range(n)]
-        perm = sorted(range(n), key=lambda i: (-w_diag[i], form.ids[i]))
+        # anti-dual diagonal -(E*_v, E*_v) = ((-I)^{-1})_vv = adj_vv / det(-I)
+        # governs how wide a coordinate can swing; branching on the narrowest
+        # coordinates first (widest eliminated first) keeps the top of the
+        # search tree thin, measured orders of magnitude better on
+        # box-clamped instances.
+        adj = form.adj_neg
+        perm = sorted(range(n), key=lambda i: (-adj[i][i], form.ids[i]))
         mq = [[-form.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         a = [row[:] for row in mq]
         prev = 1
@@ -230,7 +231,7 @@ def min_chi(form: IntersectionForm, shift: Optional[Cycle],
     delta_chi = Fraction(best, 2 * dd * dd * lam)
     box_volume = 1
     for i in range(n):
-        w_i = -form.inverse[i][i]
+        w_i = Fraction(form.adj_neg[i][i], form.det_neg)
         blo, bhi = _sqrt_interval(p[i], dd, 2 * delta_chi * w_i)
         if lo[i] is not None:
             blo = max(blo, lo[i])
@@ -357,15 +358,35 @@ def laufer_zmin(form: IntersectionForm) -> Cycle:
 
     Start from the reduced full cycle and, while some (z, E_v) > 0, add E_v.
     On a negative-definite form this terminates at the unique minimal nonzero
-    element of the semigroup {l > 0 : (l, E_v) <= 0 for all v}.
+    element of the semigroup {l > 0 : (l, E_v) <= 0 for all v}.  The result
+    is cached on the form.
     """
-    n = form.n
-    m = form.matrix
-    z = [1] * n
-    while True:
-        for v in range(n):
-            if sum(m[v][j] * z[j] for j in range(n)) > 0:
-                z[v] += 1
-                break
-        else:
-            return Cycle.from_seq(form.ids, z)
+    if form._zmin_cache is None:
+        form._zmin_cache = _laufer_iteration(form)
+    return form._zmin_cache
+
+
+def _laufer_iteration(form: IntersectionForm) -> Cycle:
+    """Laufer's iteration on a worklist of vertices with (z, E_v) > 0.
+
+    Adding E_v changes (z, E_w) only for w = v and its neighbours, so only
+    those can turn positive; the order of additions does not change the end
+    point, which is the least element of the cone above the reduced cycle.
+    """
+    diag, nbrs = form.diag, form.neighbours
+    z = [1] * form.n
+    p = [e + len(ns) for e, ns in zip(diag, nbrs)]  # p[v] = (z, E_v)
+    todo = [v for v, pv in enumerate(p) if pv > 0]
+    while todo:
+        v = todo.pop()
+        if p[v] <= 0:
+            continue
+        z[v] += 1
+        p[v] += diag[v]
+        if p[v] > 0:
+            todo.append(v)
+        for w in nbrs[v]:
+            p[w] += 1
+            if p[w] == 1:
+                todo.append(w)
+    return Cycle.from_seq(form.ids, z)

@@ -5,7 +5,7 @@ by one; the pullback map on cycles copies coefficients and gives the new
 vertex the coefficient of the blown-up point (the sum of the two endpoint
 coefficients in the edge case).  The pullback preserves the intersection
 pairing, hence chi up to the explicit k(k+1)/2 shift when multiples of the
-new class are added; both facts are asserted at construction time.
+new class are added; the isometry is checked at construction time.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import NoSuchEdge, NoSuchVertex
+from .errors import NoSuchEdge, NoSuchVertex, check_identity
 from .graph import Cycle, IntersectionForm, ResolutionGraph, build_form
 
 __all__ = ["BlowUpResult", "blow_up_generic", "blow_up_edge", "restrict_class"]
@@ -49,7 +49,7 @@ def _finish(old_form: IntersectionForm, graph: ResolutionGraph, new_id: int,
         for w in old_form.ids[i:]:
             old = old_form.pairing(old_form.unit(u), old_form.unit(w))
             new = form.pairing(images[u], images[w])
-            assert old == new, f"pullback broke the pairing at ({u},{w})"
+            check_identity(old == new, f"pullback broke the pairing at ({u},{w})")
     return BlowUpResult(graph, form, new_id, MappingProxyType(images))
 
 

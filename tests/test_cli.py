@@ -163,6 +163,35 @@ def test_failed_identity_survives_optimize():
     assert proc.returncode == 2, proc.stderr
 
 
+def test_failed_integrality_check_survives_optimize():
+    script = (
+        "import dataclasses, sys\n"
+        "from fractions import Fraction\n"
+        "import plumblat.invariants as inv\n"
+        "from plumblat.cli import main\n"
+        "orig = inv.min_chi\n"
+        "def shifted(f, shift, cons):\n"
+        "    res = orig(f, shift, cons)\n"
+        "    if shift is None:\n"
+        "        return res\n"
+        "    return dataclasses.replace(res, min_value=res.min_value + Fraction(1, 3))\n"
+        "inv.min_chi = shifted\n"
+        f"sys.exit(main(['hilbert', {str(GRAPHS / 'a2.json')!r}, '--class', '1,1']))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Hilbert function value" in proc.stderr
+
+
+def test_analyze_runs_laufer_once(monkeypatch, capsys):
+    import plumblat.minimize as min_mod
+    counts = {}
+    _count_calls(monkeypatch, min_mod, "_laufer_iteration", counts)
+    code, _, _ = run_cli(capsys, "analyze", str(GRAPHS / "e8.json"))
+    assert code == 0 and counts["_laufer_iteration"] == 1
+
+
 def _count_calls(monkeypatch, module, name, counts):
     fn = getattr(module, name)
 

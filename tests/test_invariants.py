@@ -1,5 +1,6 @@
 """Generic-structure invariants: genus, h1, Hilbert function, semigroup, Z_max."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
@@ -9,10 +10,12 @@ import pytest
 from plumblat import (
     Constraint,
     DisconnectedSupport,
+    InvariantViolation,
     NegativeInput,
     NotElliptic,
     SingularityClass,
     big_cycle,
+    build_form,
     classify,
     e_dimension,
     geometric_genus,
@@ -270,3 +273,45 @@ def test_zmin_leq_zmax_nonrational_corpus():
         if classify(f).tag is SingularityClass.RATIONAL:
             continue
         assert laufer_zmin(f).leq(maximal_ideal_cycle(f).cycle)
+
+
+def _shift_min_chi(monkeypatch):
+    """Make every constrained minimum off by a fraction."""
+    import plumblat.invariants as inv_mod
+    orig = inv_mod.min_chi
+
+    def shifted(f, shift, constraint):
+        res = orig(f, shift, constraint)
+        return dataclasses.replace(
+            res, min_value=res.min_value + (Q(1, 2) if shift is None else Q(1, 3)))
+
+    monkeypatch.setattr(inv_mod, "min_chi", shifted)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("h1_cycle", r"h\^1 of O_z"),
+    ("h1_twisted", r"twisted h\^1"),
+    ("h1_bundle", "natural line bundle"),
+    ("hilbert_h", "Hilbert function value"),
+])
+def test_integrality_checks_raise_invariant_violation(monkeypatch, name, message):
+    f = build_form(graph_g1())
+    z = laufer_zmin(f)
+    lp = f.dual(G1_MINUS_THREE)
+    call = {
+        "h1_cycle": lambda: h1_cycle(f, z),
+        "h1_twisted": lambda: h1_twisted(f, z, lp),
+        "h1_bundle": lambda: h1_bundle(f, lp),
+        "hilbert_h": lambda: hilbert_h(f, z),
+    }[name]
+    _shift_min_chi(monkeypatch)
+    with pytest.raises(InvariantViolation, match=message):
+        call()
+
+
+def test_minimally_elliptic_chi_check_raises(monkeypatch):
+    import plumblat.invariants as inv_mod
+    f = build_form(graph_g1())
+    monkeypatch.setattr(inv_mod, "minimizer_meet", lambda res: f.unit(G1_END).scale(3))
+    with pytest.raises(InvariantViolation, match="minimally elliptic cycle"):
+        minimally_elliptic_cycle(f)

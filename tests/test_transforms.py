@@ -7,6 +7,7 @@ import pytest
 
 from plumblat import (
     DisconnectedSubgraph,
+    InvariantViolation,
     NoSuchEdge,
     NoSuchVertex,
     blow_up_edge,
@@ -15,6 +16,7 @@ from plumblat import (
     maximal_ideal_cycle,
     multiplicity_generic,
     restrict_class,
+    ResolutionGraph,
 )
 from plumblat.invariants import classify, min_chi_lattice, SingularityClass
 
@@ -139,3 +141,17 @@ def test_restrict_class_disconnected_rejected():
     f = form(graph_g1())
     with pytest.raises(DisconnectedSubgraph):
         restrict_class(f, (1, 9), f.canonical())
+
+
+def test_pullback_isometry_check_raises(monkeypatch):
+    import plumblat.transforms as tr_mod
+    orig = tr_mod.build_form
+
+    def heavier_new_vertex(g):
+        # the blown-up graph with its new (-1)-curve turned into a (-2)-curve
+        return orig(ResolutionGraph(tuple((v, -2 if e == -1 else e) for v, e in g.vertices),
+                                    g.edges, g.name))
+
+    monkeypatch.setattr(tr_mod, "build_form", heavier_new_vertex)
+    with pytest.raises(InvariantViolation, match="pullback broke the pairing"):
+        blow_up_generic(single(-2), 1)
