@@ -31,6 +31,7 @@ from .graph import (
 from .minimize import (
     ChiMinResult,
     Constraint,
+    Extremal,
     SearchStats,
     laufer_zmin,
     min_chi,

@@ -105,7 +105,7 @@ class DistinctnessReport:
 def star_condition(f: IntersectionForm, lp: Cycle, v: int) -> StarCondition:
     """Depth of the constrained minimum at v; star means depth exactly one."""
     _require_semigroup(f, lp)
-    depth, _ = _depth_search(f, lp, f.chi(lp), v)
+    depth, _ = _depth_search(f, lp, f.chi(lp), v, "value")
     return StarCondition(v, depth, depth == 1)
 
 
@@ -114,10 +114,11 @@ def _require_semigroup(f: IntersectionForm, lp: Cycle) -> None:
         raise NotInSemigroup(f"{lp} is not in the analytic semigroup")
 
 
-def _depth_search(f: IntersectionForm, lp: Cycle, chi_lp: Fraction,
-                  v: int) -> tuple[Fraction, ChiMinResult]:
-    """Depth at v and the search behind it, whose minimizers form the level set."""
-    res = min_chi(f, lp, Constraint.at_least(f.unit(v)))
+def _depth_search(f: IntersectionForm, lp: Cycle, chi_lp: Fraction, v: int,
+                  want: str) -> tuple[Fraction, ChiMinResult]:
+    """Depth at v and the search behind it, whose minimizers form the level
+    set; ``want="extremes"`` keeps the join and meet that base points need."""
+    res = min_chi(f, lp, Constraint.at_least(f.unit(v)), want=want)
     return res.min_value - chi_lp, res
 
 
@@ -148,7 +149,7 @@ def _starred_data(f: IntersectionForm, lp: Cycle, v: int, pv: Fraction,
 def base_point_data(f: IntersectionForm, lp: Cycle, v: int) -> VertexBaseData:
     """Full base-point record at a starred vertex with negative pairing."""
     _require_semigroup(f, lp)
-    depth, res = _depth_search(f, lp, f.chi(lp), v)
+    depth, res = _depth_search(f, lp, f.chi(lp), v, "extremes")
     pv = f.pairing_vertex(lp, v)
     if depth != 1:
         raise NotStar(f"depth at vertex {v} is {depth}, not 1")
@@ -180,7 +181,7 @@ def _report(f: IntersectionForm, cls: GraphClass, lp: Cycle, zmax: Cycle) -> Bas
     total = 0
     correction = 0
     for v, pv in negative:
-        depth, res = _depth_search(f, lp, chi_lp, v)
+        depth, res = _depth_search(f, lp, chi_lp, v, "extremes")
         if depth == 1:
             data = _starred_data(f, lp, v, pv, res)
             total += data.count
@@ -206,7 +207,7 @@ def _rational_report(f: IntersectionForm, lp: Cycle, zmax: Cycle) -> BasePointRe
     if __debug__ and in_analytic_semigroup(f, lp):
         chi_lp = f.chi(lp)
         for v, _ in _negative_pairings(f, lp):
-            depth, _ = _depth_search(f, lp, chi_lp, v)
+            depth, _ = _depth_search(f, lp, chi_lp, v, "value")
             check_identity(depth >= 2, f"depth {depth} at vertex {v} of a rational graph")
     mult = None
     floor = None

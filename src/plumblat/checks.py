@@ -14,11 +14,10 @@ from fractions import Fraction
 from .errors import BoxTooLarge
 from .graph import IntersectionForm
 from .invariants import (
-    SingularityClass,
-    classify,
     geometric_genus,
     in_analytic_semigroup,
     min_chi_lattice,
+    min_chi_positive,
 )
 from .minimize import Constraint, laufer_zmin, min_chi
 from .oracle import brute_min_chi, brute_semigroup, brute_zmin
@@ -108,11 +107,11 @@ def run_selfcheck(f: IntersectionForm, max_box: int = 10 ** 6, seed: int = 2718)
     check("min-over-nonneg-equals-lattice", r_all.min_value == r_nn.min_value)
 
     zmin = laufer_zmin(f)
-    cls = classify(f)
     check("fundamental-cycle-anti-nef", f.in_lipman_cone(zmin))
-    check("artin-criteria-agree",
-          (f.chi(zmin) == 1) == (cls.tag is SingularityClass.RATIONAL),
-          f"chi(Z_min)={f.chi(zmin)}")
+    # classify itself decides rationality by chi(Z_min); compare with the search
+    mp = min_chi_positive(f, "value").min_value
+    check("artin-criteria-agree", (f.chi(zmin) == 1) == (mp >= 1),
+          f"chi(Z_min)={f.chi(zmin)}, min chi over l > 0 = {mp}")
 
     # oracle comparisons, guarded by box size
     try:

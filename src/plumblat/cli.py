@@ -178,6 +178,10 @@ def _batch(args, per_file) -> int:
 
 def cmd_analyze(args) -> int:
     def per_file(path, f):
+        if args.format == "json":
+            # the payload lists every positive minimizer; one full search up
+            # front also answers the class and Z_max queries from the cache
+            min_chi_positive(f)
         inv = invariant_report(f)
         bp = multiplicity_generic(f)
         log.debug("analyzed %s: %d vertices, class %s, %d cached min_chi results",

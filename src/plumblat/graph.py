@@ -352,10 +352,9 @@ class IntersectionForm:
         self._dual_basis: Optional[tuple[Cycle, ...]] = None
         self._canonical: Optional[Cycle] = None
         self._minchi_cache: dict = {}
-        # set by the minimizer on first use: its factorization of -I, the
-        # continuous minimum chi(K/2) and the fundamental cycle
+        # set by the minimizer on first use: its search data (factorization
+        # of -I, K over one denominator, chi(K/2)) and the fundamental cycle
         self._quad_data_cache = None
-        self._chi_cont_cache: Optional[Fraction] = None
         self._zmin_cache: Optional[Cycle] = None
 
     # -- basic lattice objects ------------------------------------------------

@@ -80,14 +80,14 @@ class InvariantReport:
 # ---------------------------------------------------------------------------
 
 
-def min_chi_lattice(f: IntersectionForm) -> ChiMinResult:
+def min_chi_lattice(f: IntersectionForm, want: str = "all") -> ChiMinResult:
     """min of chi over all of L (min_chi results are cached on the form)."""
-    return min_chi(f, None, Constraint.over_lattice())
+    return min_chi(f, None, Constraint.over_lattice(), want=want)
 
 
-def min_chi_positive(f: IntersectionForm) -> ChiMinResult:
+def min_chi_positive(f: IntersectionForm, want: str = "all") -> ChiMinResult:
     """min of chi over l > 0."""
-    return min_chi(f, None, Constraint.positive(f))
+    return min_chi(f, None, Constraint.positive(f), want=want)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +96,20 @@ def min_chi_positive(f: IntersectionForm) -> ChiMinResult:
 
 
 def classify(f: IntersectionForm) -> GraphClass:
-    mp = min_chi_positive(f).min_value
-    check_identity(mp <= 1, f"min chi over l > 0 is {mp}, but chi(Z_min) <= 1 bounds it")
-    if mp >= 1:
-        tag = SingularityClass.RATIONAL
-    elif mp == 0:
-        tag = SingularityClass.ELLIPTIC
+    """Rational, elliptic or general by the minimum of chi over l > 0.
+
+    Artin's criterion decides rationality without a search: the graph is
+    rational exactly when chi(Z_min) = 1, and then that minimum is 1.
+    """
+    chi_zmin = f.chi(laufer_zmin(f))
+    if chi_zmin == 1:
+        tag, mp = SingularityClass.RATIONAL, Fraction(1)
     else:
-        tag = SingularityClass.GENERAL
+        mp = min_chi_positive(f, "value").min_value
+        check_identity(mp <= 1, f"min chi over l > 0 is {mp}, but chi(Z_min) <= 1 bounds it")
+        check_identity(mp < 1, f"chi(Z_min) = {chi_zmin} rules out a rational graph, "
+                               f"but min chi over l > 0 is {mp}")
+        tag = SingularityClass.ELLIPTIC if mp == 0 else SingularityClass.GENERAL
     return GraphClass(tag, mp, f.canonical().is_integral(), is_minimal_resolution(f.graph))
 
 
@@ -119,7 +125,7 @@ def _genus(f: IntersectionForm, cls: GraphClass) -> int:
         return 0
     pg = 1 - mp
     # the two branches of the genus formula must agree
-    ml = min_chi_lattice(f).min_value
+    ml = min_chi_lattice(f, "value").min_value
     check_identity(pg == 1 - ml and pg.denominator == 1 and pg > 0,
                    f"genus formulas disagree: 1 - min over l>0 = {pg}, over L {1 - ml}")
     return int(pg)
@@ -146,7 +152,7 @@ def h1_cycle(f: IntersectionForm, z: Cycle) -> int:
             raise DisconnectedSupport(f"support {support} has {len(comps)} components")
         f = f.restrict(support)
         z = z.restrict(support)
-    res = min_chi(f, None, Constraint.box(f.zero(), z, exclude_zero=True))
+    res = min_chi(f, None, Constraint.box(f.zero(), z, exclude_zero=True), want="value")
     val = 1 - res.min_value
     _check_h1(val, "h^1 of O_z")
     return int(val)
@@ -164,7 +170,7 @@ def h1_twisted(f: IntersectionForm, z: Cycle, lp: Cycle) -> TwistedH1:
     if not f.in_dual_lattice(lp):
         raise ValueError("lp must lie in the dual lattice")
     ok = all(lp.coeff(v) > 0 for v in z.support())
-    res = min_chi(f, lp, Constraint.box(f.zero(), z))
+    res = min_chi(f, lp, Constraint.box(f.zero(), z), want="value")
     val = f.chi(lp) - res.min_value
     _check_h1(val, "twisted h^1")
     return TwistedH1(int(val), ok)
@@ -178,7 +184,7 @@ def h1_bundle(f: IntersectionForm, lp: Cycle) -> int:
     """
     if not f.in_dual_lattice(lp):
         raise ValueError("lp must lie in the dual lattice")
-    res = min_chi(f, lp, Constraint.nonnegative(f))
+    res = min_chi(f, lp, Constraint.nonnegative(f), want="value")
     val = f.chi(lp) - res.min_value
     if lp.is_integral() and all(c <= 0 for c in lp.coeffs) \
             and classify(f).tag is not SingularityClass.RATIONAL:
@@ -193,8 +199,8 @@ def hilbert_h(f: IntersectionForm, l0: Cycle) -> int:
         raise NegativeInput(f"l0 must be an effective integral cycle, got {l0}")
     if l0.is_zero():
         return 0
-    shifted = min_chi(f, l0, Constraint.nonnegative(f)).min_value
-    base = min_chi(f, None, Constraint.nonnegative(f)).min_value
+    shifted = min_chi(f, l0, Constraint.nonnegative(f), want="value").min_value
+    base = min_chi(f, None, Constraint.nonnegative(f), want="value").min_value
     val = shifted - base
     if classify(f).tag is not SingularityClass.RATIONAL:
         val += 1
@@ -217,7 +223,7 @@ def in_analytic_semigroup(f: IntersectionForm, lp: Cycle) -> bool:
         raise ValueError("lp must lie in the dual lattice")
     if lp.is_zero():
         return True
-    res = min_chi(f, lp, Constraint.positive(f))
+    res = min_chi(f, lp, Constraint.positive(f), want="value")
     return res.min_value > f.chi(lp)
 
 
@@ -236,8 +242,8 @@ def _maximal_ideal_cycle(f: IntersectionForm, cls: GraphClass,
     """Z_max of a graph of class ``cls``; ``zmin`` saves the Laufer run."""
     if cls.tag is SingularityClass.RATIONAL:
         return MaxIdealCycle(laufer_zmin(f) if zmin is None else zmin, True)
-    res = min_chi_positive(f)
-    ml = min_chi_lattice(f).min_value
+    res = min_chi_positive(f, "extremes")
+    ml = min_chi_lattice(f, "value").min_value
     check_identity(res.min_value == ml,
                    f"min chi over l > 0 ({res.min_value}) differs from min chi over L ({ml})")
     return MaxIdealCycle(minimizer_join(res), False)
@@ -248,7 +254,7 @@ def minimally_elliptic_cycle(f: IntersectionForm) -> Cycle:
     cls = classify(f)
     if cls.tag is not SingularityClass.ELLIPTIC:
         raise NotElliptic(f"graph classifies as {cls.tag.value}")
-    res = min_chi_positive(f)
+    res = min_chi_positive(f, "extremes")
     c = minimizer_meet(res)
     chi_c = f.chi(c)
     check_identity(chi_c == 0, f"minimally elliptic cycle {c} has chi {chi_c}, not 0")
@@ -299,7 +305,7 @@ def invariant_report(f: IntersectionForm) -> InvariantReport:
     pg = _genus(f, cls)
     zmin = laufer_zmin(f)
     zmax = _maximal_ideal_cycle(f, cls, zmin).cycle
-    ml = min_chi_lattice(f).min_value
+    ml = min_chi_lattice(f, "value").min_value
     if pg > 0:
         check_identity(zmin.leq(zmax), f"Z_min = {zmin} is not below Z_max = {zmax}")
         chi_max = f.chi(zmax)

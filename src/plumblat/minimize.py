@@ -26,8 +26,18 @@ all G_k and Delta_k integers.  Scaling by lcm_k(Delta_k Delta_{k+1}) keeps the
 whole search in integer arithmetic; interval endpoints come from exact integer
 square roots, so no floating point is involved anywhere.
 
-The complete minimizer SET is materialized: subtrees are pruned only when
-their value strictly exceeds the incumbent, so ties are never lost.
+Each search keeps only what its query needs (``want``):
+
+* ``"value"`` prunes ties as well (values are integers, so a subtree must
+  beat the incumbent by at least one unit) and keeps a single witness;
+* ``"extremes"`` prunes only strictly worse subtrees and keeps the running
+  componentwise join and meet of the minimizers as integer lists; each is
+  then verified to be a minimizer itself (feasible, with the minimal value);
+* ``"all"`` prunes only strictly worse subtrees and materializes the complete
+  minimizer SET, so ties are never lost.
+
+Results are cached on the form by the integer numerators of the shift and
+the bounds; a cached result answers requests for its own or a weaker mode.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import EmptyFeasibleRegion, ExtremalNotMinimizer
 from .graph import Cycle, IntersectionForm
@@ -44,6 +54,7 @@ __all__ = [
     "Constraint",
     "SearchStats",
     "ChiMinResult",
+    "Extremal",
     "min_chi",
     "minimizer_join",
     "minimizer_meet",
@@ -92,15 +103,41 @@ class SearchStats:
     nodes: int
 
 
+class Extremal(NamedTuple):
+    """Componentwise join or meet of a minimizer set, and whether it is a
+    minimizer itself."""
+
+    cycle: Cycle
+    is_minimizer: bool
+
+
+# what a search keeps, weakest first; a result answers its own and weaker wants
+_STRENGTH = {"value": 0, "extremes": 1, "all": 2}
+
+
 @dataclass(frozen=True)
 class ChiMinResult:
+    """Minimum of chi and as much of its minimizer set as was asked for.
+
+    ``want`` is ``"all"`` (``minimizers`` is the complete set, sorted),
+    ``"extremes"`` (``minimizers`` holds one witness) or ``"value"``
+    (``minimizers`` holds one witness).  ``join`` and ``meet`` are the
+    componentwise extremes of the complete set, for ``"all"`` and
+    ``"extremes"``; a ``"value"`` result has neither.
+    """
+
     min_value: Fraction
     minimizers: tuple[Cycle, ...]
     stats: SearchStats
+    want: str = "all"
+    join: Optional[Extremal] = None
+    meet: Optional[Extremal] = None
 
 
 class _QuadData:
-    """Fraction-free factorization of -I in a fixed elimination order."""
+    """Per-form search data: a fraction-free factorization of -I in a fixed
+    elimination order, the canonical class over one denominator and the
+    continuous minimum chi(K/2)."""
 
     def __init__(self, form: IntersectionForm):
         n = form.n
@@ -111,8 +148,7 @@ class _QuadData:
         # box-clamped instances.
         adj = form.adj_neg
         perm = sorted(range(n), key=lambda i: (-adj[i][i], form.ids[i]))
-        mq = [[-form.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        a = [row[:] for row in mq]
+        a = [[-form.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         prev = 1
         for k in range(n):
             piv = a[k][k]
@@ -129,7 +165,9 @@ class _QuadData:
         self.rows = tuple(rows)
         self.weights = tuple(lam // (minors[k] * minors[k + 1]) for k in range(n))
         self.lam = lam
-        self.mq = tuple(tuple(row) for row in mq)
+        zk = form.canonical()
+        self.k_num, self.k_den = form._numerators(zk)
+        self.chi_cont = form.chi(zk.scale(Fraction(1, 2)))
 
 
 def _nearest_int(num: int, den: int) -> int:
@@ -137,11 +175,10 @@ def _nearest_int(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _sqrt_interval(cnum: int, cden: int, radsq: Fraction) -> tuple[int, int]:
-    """Integer range of l with (l - cnum/cden)^2 <= radsq, cden > 0."""
-    if radsq < 0:
+def _sqrt_interval(cnum: int, cden: int, a: int, b: int) -> tuple[int, int]:
+    """Integer range of l with (l - cnum/cden)^2 <= a/b, cden > 0, b > 0."""
+    if a < 0:
         return 1, 0
-    a, b = radsq.numerator, radsq.denominator
     s = math.isqrt(cden * cden * a * b)
     hi = (cnum * b + s) // (cden * b)
     lo = -((-(cnum * b - s)) // (cden * b))
@@ -170,28 +207,41 @@ def _bound_arrays(form: IntersectionForm, constraint: Constraint):
 
 
 def min_chi(form: IntersectionForm, shift: Optional[Cycle],
-            constraint: Constraint) -> ChiMinResult:
-    """Exact global minimum of chi(shift + l) and the complete minimizer set."""
+            constraint: Constraint, want: str = "all") -> ChiMinResult:
+    """Exact global minimum of chi(shift + l), and as much of the minimizer
+    set as ``want`` asks for (see :class:`ChiMinResult`)."""
+    if want not in _STRENGTH:
+        raise ValueError(f"want must be one of {', '.join(_STRENGTH)}, got {want!r}")
     if shift is None:
         shift = form.zero()
     if shift.ids != form.ids:
         raise ValueError("shift does not live on this graph")
     lo, hi = _bound_arrays(form, constraint)
 
-    key = (shift.coeffs, tuple(lo), tuple(hi), constraint.exclude_zero)
+    s_num, s_den = form._numerators(shift)
+    key = (tuple(s_num), s_den, tuple(lo), tuple(hi), constraint.exclude_zero)
     cached = form._minchi_cache.get(key)
-    if cached is not None:
+    if cached is not None and _STRENGTH[cached.want] >= _STRENGTH[want]:
         return cached
 
     n = form.n
-    zk = form.canonical()
-    half_k = zk.scale(Fraction(1, 2))
-    if form._chi_cont_cache is None:
-        form._chi_cont_cache = form.chi(half_k)  # the unconstrained continuous minimum
-    chi_cont = form._chi_cont_cache
-    c = [half_k.coeffs[i] - shift.coeffs[i] for i in range(n)]
-    dd = math.lcm(*[x.denominator for x in c]) if n else 1
-    p = [int(x * dd) for x in c]
+    if form._quad_data_cache is None:
+        form._quad_data_cache = _QuadData(form)
+    qd = form._quad_data_cache
+    perm, rows, weights, lam = qd.perm, qd.rows, qd.weights, qd.lam
+    # center c = K/2 - shift = p / dd in lowest terms: over the common
+    # denominator denom, dd = denom / gcd(denom, all numerators)
+    denom = math.lcm(2 * qd.k_den, s_den)
+    kf, sf = denom // (2 * qd.k_den), denom // s_den
+    p = [kf * a - sf * b for a, b in zip(qd.k_num, s_num)]
+    common = math.gcd(denom, *p)
+    dd = denom // common
+    p = [x // common for x in p]
+
+    def scaled_value(l: list[int]) -> int:
+        """lam * Q(dd l - p), the search's integer measure of chi(shift + l)."""
+        y = [dd * a - b for a, b in zip(l, p)]
+        return -lam * form._pair(y, y)
 
     # feasible reference point: the rounded continuous minimizer clamped into
     # the box; bumped off 0 when 0 is excluded.
@@ -216,23 +266,14 @@ def min_chi(form: IntersectionForm, shift: Optional[Cycle],
         else:
             raise EmptyFeasibleRegion("no feasible point besides the excluded 0")
 
-    if form._quad_data_cache is None:
-        form._quad_data_cache = _QuadData(form)
-    qd = form._quad_data_cache
-    perm, rows, weights, lam, mq = qd.perm, qd.rows, qd.weights, qd.lam, qd.mq
+    best = scaled_value(ref)
 
-    def qval(y: list[int]) -> int:
-        return sum(y[i] * sum(mq[i][j] * y[j] for j in range(n)) for i in range(n))
-
-    y_ref = [dd * ref[perm[k]] - p[perm[k]] for k in range(n)]
-    best = lam * qval(y_ref)
-
-    # advertised stat: per-coordinate ellipsoid box at the reference level
-    delta_chi = Fraction(best, 2 * dd * dd * lam)
+    # advertised stat: per-coordinate ellipsoid box at the reference level,
+    # radius^2 = 2 (chi_ref - chi(K/2)) adj_vv / det = best adj_vv / (dd^2 lam det)
+    rad_den = dd * dd * lam * form.det_neg
     box_volume = 1
     for i in range(n):
-        w_i = Fraction(form.adj_neg[i][i], form.det_neg)
-        blo, bhi = _sqrt_interval(p[i], dd, 2 * delta_chi * w_i)
+        blo, bhi = _sqrt_interval(p[i], dd, best * form.adj_neg[i][i], rad_den)
         if lo[i] is not None:
             blo = max(blo, lo[i])
         if hi[i] is not None:
@@ -244,25 +285,42 @@ def min_chi(form: IntersectionForm, shift: Optional[Cycle],
     hi_p = [hi[perm[k]] for k in range(n)]
     h = [0] * n
     lvals = [0] * n  # indexed by position (ascending vertex id)
-    minimizers: list[tuple[int, ...]] = []
     exclude_zero = constraint.exclude_zero
     counters = {"nodes": 0, "candidates": 0}
+    keep_all = want == "all"
+    keep_extremes = want == "extremes"
+    # "value" prunes ties: values are integers, so a strictly better point
+    # has value at most best - 1; the reference point is then the witness
+    # unless the search improves on it.
+    strict = 1 if want == "value" else 0
+    limit = best - strict
+    level: list[tuple[int, ...]] = [tuple(ref)] if strict else []
+    # componentwise join and meet of the level: kept while searching for
+    # "extremes", taken from the complete set for "all"
+    top: list[int] = []
+    bottom: list[int] = []
 
     def rec(k: int, partial: int) -> None:
-        nonlocal best
+        nonlocal best, limit
         if k < 0:
             counters["candidates"] += 1
-            if exclude_zero and all(t == 0 for t in lvals):
+            if exclude_zero and not any(lvals):
                 return
-            if partial < best:
+            if partial < best or not level:
                 best = partial
-                minimizers.clear()
-                minimizers.append(tuple(lvals))
-            elif partial == best:
-                minimizers.append(tuple(lvals))
+                limit = best - strict
+                level[:] = [tuple(lvals)]
+                if keep_extremes:
+                    top[:] = lvals
+                    bottom[:] = lvals
+            elif keep_all:
+                level.append(tuple(lvals))
+            elif keep_extremes:
+                top[:] = map(max, top, lvals)
+                bottom[:] = map(min, bottom, lvals)
             return
         counters["nodes"] += 1
-        budget = best - partial
+        budget = limit - partial
         if budget < 0:
             return
         dk = rows[k][k]
@@ -295,7 +353,7 @@ def min_chi(form: IntersectionForm, shift: Optional[Cycle],
             y = dd * l - pk
             g = dk * y + hk
             term = wk * g * g
-            if partial + term > best:
+            if partial + term > limit:
                 return False
             lvals[pos] = l
             for kk in range(k):
@@ -318,13 +376,28 @@ def min_chi(form: IntersectionForm, shift: Optional[Cycle],
 
     rec(n - 1, 0)
 
-    min_value = chi_cont + Fraction(best, 2 * dd * dd * lam)
-    cycles = tuple(Cycle.from_seq(form.ids, t)
-                   for t in sorted(set(minimizers)))
-    if not cycles:
+    if not level:
         raise EmptyFeasibleRegion("no feasible lattice point found")
-    result = ChiMinResult(min_value, cycles,
-                          SearchStats(box_volume, counters["candidates"], counters["nodes"]))
+    min_value = qd.chi_cont + Fraction(best, 2 * dd * dd * lam)
+    stats = SearchStats(box_volume, counters["candidates"], counters["nodes"])
+    ids = form.ids
+
+    def extremal(l: list[int]) -> Extremal:
+        # the same membership as "l in the complete minimizer set"
+        feasible = (not exclude_zero or any(l)) and all(
+            (a is None or a <= x) and (b is None or x <= b) for x, a, b in zip(l, lo, hi))
+        return Extremal(Cycle.from_seq(ids, l), feasible and scaled_value(l) == best)
+
+    join = meet = None
+    if keep_all:
+        level = sorted(set(level))
+        cols = list(zip(*level))
+        top, bottom = [max(c) for c in cols], [min(c) for c in cols]
+    if want != "value":
+        join, meet = extremal(top), extremal(bottom)
+    kept = level if keep_all else level[:1]
+    result = ChiMinResult(min_value, tuple(Cycle.from_seq(ids, t) for t in kept), stats,
+                          want, join, meet)
     form._minchi_cache[key] = result
     return result
 
@@ -340,17 +413,16 @@ def minimizer_meet(result: ChiMinResult) -> Cycle:
 
 
 def _extremal(result: ChiMinResult, take_join: bool) -> Cycle:
-    if not result.minimizers:
-        raise ValueError("empty minimizer set")
-    acc = result.minimizers[0]
-    for m in result.minimizers[1:]:
-        acc = acc.join(m) if take_join else acc.meet(m)
-    if acc not in result.minimizers:
-        kind = "join" if take_join else "meet"
+    kind = "join" if take_join else "meet"
+    ext = result.join if take_join else result.meet
+    if ext is None:
+        raise ValueError(f"a {result.want!r} result has no minimizer {kind}; "
+                         "search with want='extremes' or 'all'")
+    if not ext.is_minimizer:
         raise ExtremalNotMinimizer(
-            f"componentwise {kind} {acc} is not in the minimizer set; "
+            f"componentwise {kind} {ext.cycle} is not in the minimizer set; "
             "the uniqueness hypothesis fails on this input")
-    return acc
+    return ext.cycle
 
 
 def laufer_zmin(form: IntersectionForm) -> Cycle:

@@ -243,9 +243,9 @@ def test_analysis_classifies_twice_and_searches_each_vertex_once(monkeypatch, g)
         counts["classify"] += 1
         return classify(f)
 
-    def counted_min_chi(*args):
+    def counted_min_chi(*args, **kwargs):
         counts["depth"] += 1
-        return min_chi(*args)
+        return min_chi(*args, **kwargs)
 
     monkeypatch.setattr(inv_mod, "classify", counted_classify)
     monkeypatch.setattr(bp_mod, "classify", counted_classify)

@@ -135,8 +135,8 @@ def _shift_min_chi_lattice(monkeypatch):
     import plumblat.invariants as inv_mod
     orig = inv_mod.min_chi_lattice
 
-    def shifted(f):
-        res = orig(f)
+    def shifted(f, want="all"):
+        res = orig(f, want)
         return dataclasses.replace(res, min_value=res.min_value - 1)
 
     monkeypatch.setattr(inv_mod, "min_chi_lattice", shifted)
@@ -154,8 +154,8 @@ def test_failed_identity_survives_optimize():
         "import plumblat.invariants as inv\n"
         "from plumblat.cli import main\n"
         "orig = inv.min_chi_lattice\n"
-        "inv.min_chi_lattice = lambda f: dataclasses.replace(\n"
-        "    orig(f), min_value=orig(f).min_value - 1)\n"
+        "inv.min_chi_lattice = lambda f, want='all': dataclasses.replace(\n"
+        "    orig(f, want), min_value=orig(f, want).min_value - 1)\n"
         f"sys.exit(main(['analyze', {str(GRAPHS / 'g1.json')!r}]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
@@ -170,8 +170,8 @@ def test_failed_integrality_check_survives_optimize():
         "import plumblat.invariants as inv\n"
         "from plumblat.cli import main\n"
         "orig = inv.min_chi\n"
-        "def shifted(f, shift, cons):\n"
-        "    res = orig(f, shift, cons)\n"
+        "def shifted(f, shift, cons, want='all'):\n"
+        "    res = orig(f, shift, cons, want=want)\n"
         "    if shift is None:\n"
         "        return res\n"
         "    return dataclasses.replace(res, min_value=res.min_value + Fraction(1, 3))\n"

@@ -280,8 +280,8 @@ def _shift_min_chi(monkeypatch):
     import plumblat.invariants as inv_mod
     orig = inv_mod.min_chi
 
-    def shifted(f, shift, constraint):
-        res = orig(f, shift, constraint)
+    def shifted(f, shift, constraint, want="all"):
+        res = orig(f, shift, constraint, want=want)
         return dataclasses.replace(
             res, min_value=res.min_value + (Q(1, 2) if shift is None else Q(1, 3)))
 
